@@ -19,16 +19,11 @@ request/response surface the serving layer (:mod:`repro.serve`) speaks:
   (pre-populated) service. The built-in services self-register when
   their module imports; :data:`SERVICES` lazily imports them by name so
   ``SERVICES.build("redis", system)`` works without side-effect imports.
-
-The old closed-loop entry points (``GetWorkload.run`` and friends) are
-kept as thin deprecated aliases over ``Service.handle`` — byte-identical
-behavior, plus a :class:`DeprecationWarning` pointing at ``repro.serve``.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Tuple
 
@@ -144,19 +139,6 @@ class ServiceRegistry:
 SERVICES = ServiceRegistry()
 
 
-def deprecated_entry_point(old: str, new: str) -> None:
-    """Emit the standard closed-loop deprecation warning.
-
-    The old drivers keep working (and stay byte-identical — they are thin
-    wrappers over ``Service.handle``), but new experiments should go
-    through :mod:`repro.serve`, which adds open-loop arrivals, admission
-    control, balancing and SLO accounting around the same handlers.
-    """
-    warnings.warn(
-        f"{old} is a deprecated closed-loop entry point; use {new} "
-        "(see docs/SERVING.md)", DeprecationWarning, stacklevel=3)
-
-
 @dataclass
 class ClosedLoopStats:
     """Summary of a generic closed-loop run (testing/back-compat aid)."""
@@ -204,6 +186,5 @@ __all__ = [
     "Service",
     "ServiceFactory",
     "ServiceRegistry",
-    "deprecated_entry_point",
     "run_closed_loop",
 ]

@@ -4,8 +4,9 @@
 to ``handle(Request) -> Response`` so the serving layer's balancer can
 drive it like any other app. The handler table is a straight mapping onto
 the server's commands — ``handle`` adds *no* simulated time of its own,
-which is what keeps the deprecated closed-loop wrappers byte-identical to
-their historical behavior.
+which is what keeps the closed-loop ``drive`` methods of
+:mod:`repro.apps.redis.workload` byte-identical to driving the service by
+hand.
 
 The ``"redis"`` service factory boots a ready instance: a mimalloc arena,
 a deterministic keyspace population (seeded values with recognizable

@@ -62,6 +62,25 @@ def _fault_plan(spec: str) -> FaultPlan:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _ratio(text: str) -> float:
+    """argparse type for local-memory ratios: implausible ratios exit 2
+    cleanly instead of failing inside a run."""
+    try:
+        ratio = float(text)
+        local_bytes_for(1, ratio)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return ratio
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _backend_spec(spec: str) -> str:
     """argparse type for --backend: validate the spec, return the string
     (systems are sized per command, so the real backend is built later)."""
@@ -260,10 +279,6 @@ def _sweep_rack(args) -> int:
         print("error: oversubscription factors must be >= 1",
               file=sys.stderr)
         return 2
-    if args.systems == ["fastswap", "dilos-readahead"]:
-        # The parser default (meant for the ratio sweeps); the rack
-        # grid is placement x oversubscription on one kernel.
-        args.systems = ["dilos-readahead"]
     if len(args.systems) != 1:
         print("error: the rack sweep grid is placement x oversubscription "
               "on one kernel; pass exactly one --systems kind",
@@ -313,6 +328,11 @@ def cmd_sweep(args) -> int:
         print("error: --placements/--oversubs only apply to the rack "
               "sweep", file=sys.stderr)
         return 2
+    if args.systems is None:
+        # The ratio sweeps compare kernels; the llm and rack grids run
+        # their own two axes on one kernel.
+        args.systems = (["dilos-readahead"] if args.workload in ("llm", "rack")
+                        else ["fastswap", "dilos-readahead"])
     if args.workload == "llm":
         return _sweep_llm(args)
     if args.workload == "rack":
@@ -492,25 +512,53 @@ def cmd_redis_lrange(args) -> int:
     return 0
 
 
+def _run_preset(name: str, command: str, repeat: int, **overrides):
+    """Run the ``command`` preset ``name`` through the determinism gate
+    (``repeat=1``: once, ungated). Returns ``(run, 0)``, or ``(None,
+    exit_code)`` after printing the error: 2 for an unknown preset or a
+    bad configuration, 1 for drift."""
+    from repro.harness.scenarios import DeterminismError, lookup, run_preset
+
+    try:
+        lookup(name, command)
+        return run_preset(name, repeat=repeat, **overrides), 0
+    except DeterminismError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None, 1
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None, 2
+
+
+def _print_digests(run, gated: bool) -> None:
+    if run.digests.trace is not None:
+        print(f"request-trace digest: {run.digests.trace}")
+    print(f"metrics digest: {run.digests.metrics}")
+    if gated:
+        print("determinism: OK (two runs, identical digests)")
+
+
+def _list_presets(title: str, command: str) -> int:
+    from repro.harness.scenarios import presets
+
+    print(format_table(title, ["name", "description"],
+                       [[name, preset.description] for name, preset
+                        in sorted(presets(command).items())]))
+    return 0
+
+
 def cmd_tenants(args) -> int:
     """Run a multi-tenant scenario: N kernels round-robin on one shared
     clock and memory backend, reporting per-tenant and aggregate metrics
     plus the final deterministic digest."""
-    from repro.harness.scenarios import SCENARIOS, build_scenario
-
     if args.list:
-        print(format_table("preset scenarios", ["name", "description"],
-                           [[name, desc]
-                            for name, (desc, _) in sorted(SCENARIOS.items())]))
-        return 0
-    try:
-        cluster = build_scenario(args.scenario, backend=args.backend,
-                                 quantum_us=args.quantum_us,
-                                 kind=args.system)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    snapshot = cluster.run(max_quanta=args.max_quanta)
+        return _list_presets("preset scenarios", "tenants")
+    run, code = _run_preset(args.scenario, "tenants", 1,
+                            backend=args.backend, quantum_us=args.quantum_us,
+                            kind=args.system, max_quanta=args.max_quanta)
+    if run is None:
+        return code
+    cluster, snapshot = run.cluster, run.report
     print(f"{args.scenario} on {cluster.backend_label}: "
           f"{len(cluster.tenants)} tenants, "
           f"{int(snapshot.value('cluster.quanta'))} quanta, "
@@ -538,7 +586,7 @@ def cmd_tenants(args) -> int:
         ["slots used", f"{int(used)}/{int(snapshot.value('backend.total_slots'))}"],
         ["capacity (MiB)", f"{snapshot.value('backend.capacity_bytes') / MIB:.0f}"],
     ]))
-    print(f"metrics digest: {snapshot.digest()}")
+    _print_digests(run, gated=False)
     return 0
 
 
@@ -559,28 +607,14 @@ def cmd_serve(args) -> int:
     twice; any drift in the request-trace or metrics digest is a
     determinism failure (non-zero exit). A contrast run with the naive
     configuration (no admission / load-blind routing) prints alongside."""
-    from repro.harness.scenarios import SERVE_SCENARIOS, build_serve_scenario
-
     if args.list:
-        print(format_table(
-            "serving presets", ["name", "description"],
-            [[name, desc] for name, (desc, _, _, _)
-             in sorted(SERVE_SCENARIOS.items())]))
-        return 0
-
-    def one(naive: bool = False):
-        cluster = build_serve_scenario(args.preset, backend=args.backend,
-                                       kind=args.system, naive=naive)
-        if args.spec is not None:
-            from repro.serve import coerce_serve_spec
-            cluster.serve_spec = coerce_serve_spec(args.spec)
-        return cluster, cluster.serve()
-
-    try:
-        cluster, report = one()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _list_presets("serving presets", "serve")
+    run, code = _run_preset(args.preset, "serve", 1 if args.once else 2,
+                            backend=args.backend, kind=args.system,
+                            spec=args.spec)
+    if run is None:
+        return code
+    cluster, report = run.cluster, run.report
     spec = report.spec
     snap = report.snapshot
     hist = snap.histograms.get("serve.latency_us", {})
@@ -611,19 +645,12 @@ def cmd_serve(args) -> int:
         "requests routed per tenant", ["tenant", "served"],
         [[name, served] for name, served in report.per_tenant.items()]))
 
-    drifted = False
-    if not args.once:
-        _, repeat = one()
-        drifted = (repeat.trace_digest != report.trace_digest
-                   or repeat.snapshot.digest() != snap.digest())
-
     if not args.no_contrast:
-        _, _, _, contrast_label = SERVE_SCENARIOS[args.preset]
-        _, naive_report = one(naive=True)
+        naive_report = run.rerun(naive=True).report
         naive_hist = naive_report.snapshot.histograms.get(
             "serve.latency_us", {})
         print(format_table(
-            f"preset vs naive ({contrast_label})",
+            f"preset vs naive ({run.preset.contrast_label})",
             ["metric", "preset", "naive"], [
                 ["p50 (us)", f"{hist.get('p50', 0.0):.2f}",
                  f"{naive_hist.get('p50', 0.0):.2f}"],
@@ -641,14 +668,7 @@ def cmd_serve(args) -> int:
                  f"{naive_report.ttft.get('p99', 0.0):.2f}"],
             ] if report.ttft else [])))
 
-    print(f"request-trace digest: {report.trace_digest}")
-    print(f"metrics digest: {snap.digest()}")
-    if drifted:
-        print("error: determinism drift — the repeated run produced a "
-              "different request trace or metrics digest", file=sys.stderr)
-        return 1
-    if not args.once:
-        print("determinism: OK (two runs, identical digests)")
+    _print_digests(run, gated=not args.once)
     return 0
 
 
@@ -705,17 +725,14 @@ def cmd_repair(args) -> int:
     """Run the node-rejoin repair demo: degraded writes while a member
     is down, journal-protected rejoin, paced resilver, at-rest scrub
     repair, then a second failure with a full byte-exact verification."""
-    from repro.harness.scenarios import repair_demo
-
-    try:
-        result = repair_demo(backend=args.backend, kind=args.system,
-                             repair=args.repair)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    run, code = _run_preset("repair", "repair", 1, backend=args.backend,
+                            kind=args.system, repair=args.repair)
+    if run is None:
+        return code
+    result = run.report
     print(f"{result['kind']} on {result['backend']}: "
-          f"{result['verified_pages']} pages verified byte-exact after "
-          f"rejoin + second failure ({result['time_us'] / 1000:.2f} "
+          f"{result['pages']} pages verified byte-exact after "
+          f"rejoin + second failure ({run.digests.clock / 1000:.2f} "
           "simulated ms)")
     print(format_table("repair lifecycle", ["phase", "value"], [
         ["pages journaled while down", result["stale_after_degraded"]],
@@ -726,7 +743,7 @@ def cmd_repair(args) -> int:
             for key, value in sorted(result["counters"].items())]
     print(format_table("cluster/repair/scrub counters",
                        ["counter", "value"], rows))
-    print(f"metrics digest: {result['digest']}")
+    _print_digests(run, gated=False)
     return 0
 
 
@@ -736,20 +753,15 @@ def cmd_kv(args) -> int:
     mid-run and rejoined while serving continues. Prints the serving
     tail plus the availability/consistency ledger; the run replays once
     and any digest drift is a determinism failure."""
-    from repro.harness.scenarios import kv_failover
-
-    def one():
-        return kv_failover(backend=args.backend, kind=args.system,
-                           requests=args.requests, lease_us=args.lease_us,
-                           kill_at_us=args.kill_at,
-                           rejoin_at_us=args.rejoin_at)
-
-    try:
-        cluster, report = one()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    snap = cluster.metrics()
+    run, code = _run_preset("kv_failover", "kv", 1 if args.once else 2,
+                            backend=args.backend, kind=args.system,
+                            requests=args.requests, lease_us=args.lease_us,
+                            kill_at_us=args.kill_at,
+                            rejoin_at_us=args.rejoin_at)
+    if run is None:
+        return code
+    report = run.report
+    snap = run.cluster.metrics()
     lost = int(snap.value("kv.lost_updates"))
     print(f"kv over {args.backend} ({args.system}): "
           f"{report.completed}/{report.offered} requests, "
@@ -777,21 +789,11 @@ def cmd_kv(args) -> int:
         ["pages resilvered", int(snap.value("repair.pages_resilvered"))],
         ["lost updates", lost],
     ]))
-    print(f"request-trace digest: {report.trace_digest}")
-    print(f"metrics digest: {snap.digest()}")
+    _print_digests(run, gated=not args.once)
     if lost:
         print("error: lost updates detected — acknowledged writes were "
               "not durable across the failover", file=sys.stderr)
         return 1
-    if not args.once:
-        repeat_cluster, repeat = one()
-        if (repeat.trace_digest != report.trace_digest
-                or repeat_cluster.metrics().digest() != snap.digest()):
-            print("error: determinism drift — the repeated run produced a "
-                  "different request trace or metrics digest",
-                  file=sys.stderr)
-            return 1
-        print("determinism: OK (two runs, identical digests)")
     return 0
 
 
@@ -802,10 +804,7 @@ def cmd_rack(args) -> int:
     link report and the pool's placement-outcome metrics; the run
     replays once and any digest drift is a determinism failure."""
     from repro.mem.pool import placement_kinds
-    from repro.sim.rack import DEFAULT_RACK, make_rack
 
-    if args.topology is None:
-        args.topology = DEFAULT_RACK
     if args.placement not in placement_kinds():
         print(f"error: unknown placement {args.placement!r}; pick from "
               f"{list(placement_kinds())}", file=sys.stderr)
@@ -814,21 +813,13 @@ def cmd_rack(args) -> int:
         print("error: AIFM tenants cannot share the rack's pooled backend "
               "(bump allocation); pick a paging kernel", file=sys.stderr)
         return 2
-
-    def one():
-        kwargs = {}
-        if args.spec is not None:
-            kwargs["serve"] = args.spec
-        cluster = make_rack(tenants=args.tenants, topology=args.topology,
+    run, code = _run_preset("rack", "rack", 1 if args.once else 2,
+                            tenants=args.tenants, topology=args.topology,
                             placement=args.placement, kind=args.system,
-                            **kwargs)
-        return cluster, cluster.serve()
-
-    try:
-        cluster, report = one()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+                            spec=args.spec)
+    if run is None:
+        return code
+    cluster, report = run.cluster, run.report
     snap = report.snapshot
     topo = cluster.topology
     print(f"{topo.spec()} / {cluster.backend_label}: "
@@ -855,17 +846,7 @@ def cmd_rack(args) -> int:
         ["link", "MiB", "queue_us", "util"],
         [[name, f"{row['bytes'] / MIB:.1f}", f"{row['queue_us']:.1f}",
           f"{row['util']:.3f}"] for name, row in interesting]))
-    print(f"request-trace digest: {report.trace_digest}")
-    print(f"metrics digest: {snap.digest()}")
-    if not args.once:
-        _, repeat = one()
-        if (repeat.trace_digest != report.trace_digest
-                or repeat.snapshot.digest() != snap.digest()):
-            print("error: determinism drift — the repeated run produced a "
-                  "different request trace or metrics digest",
-                  file=sys.stderr)
-            return 1
-        print("determinism: OK (two runs, identical digests)")
+    _print_digests(run, gated=not args.once)
     return 0
 
 
@@ -886,7 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, default_system="dilos-readahead"):
         p.add_argument("--system", default=default_system,
                        choices=SYSTEM_KINDS)
-        p.add_argument("--ratio", type=float, default=0.125,
+        p.add_argument("--ratio", type=_ratio, default=0.125,
                        help="local memory as a fraction of the working set")
         p.add_argument("--net-faults", default=None, metavar="SPEC",
                        type=_fault_plan,
@@ -913,10 +894,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="system x ratio grid for one workload")
     p.add_argument("workload", choices=("quicksort", "kmeans", "taxi",
                                         "llm", "rack"))
-    p.add_argument("--systems", nargs="+",
-                   default=["fastswap", "dilos-readahead"],
-                   choices=SYSTEM_KINDS)
-    p.add_argument("--ratios", nargs="+", type=float, default=None,
+    p.add_argument("--systems", nargs="+", default=None,
+                   choices=SYSTEM_KINDS,
+                   help="kernels (default: fastswap dilos-readahead; "
+                        "llm and rack: dilos-readahead)")
+    p.add_argument("--ratios", nargs="+", type=_ratio, default=None,
                    help="local-memory ratios (default: 0.125 0.5 1.0; "
                         "llm: 0.25 0.5 1.0 1.5)")
     p.add_argument("--pd-splits", nargs="+", default=None, metavar="P:D",
@@ -1107,7 +1089,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "llm", help="LLM inference: KV cache tiered over far memory")
     common(p)
-    p.add_argument("--requests", type=int, default=12,
+    p.add_argument("--requests", type=_positive_int, default=12,
                    help="inference requests in the seeded stream")
     p.add_argument("--pd-split", default=None, metavar="P:D",
                    help="disaggregate: P prefill + D decode tenants on "

@@ -258,11 +258,11 @@ def _rack_redis_pool() -> PerfRun:
 def _kv_get_replicated() -> PerfRun:
     """App-level: the replicated KV service under its chaos schedule
     (lossy wire, lease-holder kill, rejoin + resilver at serving load)."""
-    from repro.harness.scenarios import kv_failover
+    from repro.harness.scenarios import PRESETS
 
-    cluster, report = kv_failover(requests=400)
-    return PerfRun(cluster.clock.now, report.completed,
-                   cluster.metrics().digest())
+    run = PRESETS["kv_failover"].run(requests=400)
+    return PerfRun(run.digests.clock, run.report.completed,
+                   run.digests.metrics)
 
 
 CASES: List[PerfCase] = [

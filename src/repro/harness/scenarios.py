@@ -1,31 +1,40 @@
-"""Multi-tenant scenario presets for the tenancy scheduler.
+"""The preset registry: every fixed, repeatable scenario the CLI runs.
 
-Each preset enrolls a small fleet of tenant (system, workload) pairs into
-a :class:`repro.sim.tenancy.ComputeCluster` sharing one clock and one
-memory backend. Workload factories follow the tenancy convention: given
-the booted system they return a generator, and every ``next()`` performs
-one operation against far memory (populate a chunk, answer a GET, scan a
-stripe), advancing the shared clock.
+A :class:`Preset` builds a fresh cluster, drives it, and returns one
+:class:`PresetRun`: the run's report, the cluster it ran on, and its
+:class:`Digests` (request-trace digest where the preset has one, merged
+metrics digest, final simulated clock). :data:`PRESETS` maps each name
+to its preset; every preset names the CLI command that runs it
+(``serve``, ``tenants``, ``kv``, ``rack``, ``repair``) and its
+acceptance checks, the properties the preset exists to demonstrate.
+:func:`run_preset` is the one determinism gate: it runs a preset from
+scratch repeatedly and raises :class:`DeterminismError` on any drift.
+
+Tenant workload factories follow the tenancy convention: given the
+booted system they return a generator, and every ``next()`` performs
+one operation against far memory (populate a chunk, answer a GET, scan
+a stripe), advancing the shared clock.
 
 Everything here is deterministic: seeded RNGs, fixed sizes, insertion-
-order scheduling — the same preset always reaches the same final merged
-metrics digest.
+order scheduling. The same preset with the same overrides always
+reaches the same digests.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Any, Callable, Dict, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.common.units import KIB, MIB, PAGE_SIZE
 from repro.core.spec import BackendSpec, SystemSpec, make_backend
 from repro.mem.cluster import ParityStripedMemory, ReplicatedMemory
+from repro.serve import coerce_serve_spec
+from repro.sim.rack import DEFAULT_RACK_SERVE, make_rack, sweep_rack
 from repro.sim.tenancy import ComputeCluster, WorkloadFactory
-
-#: name -> (description, builder) for every preset scenario.
-ScenarioBuilder = Callable[..., ComputeCluster]
 
 
 # -- tenant workload factories ----------------------------------------------
@@ -173,13 +182,13 @@ def mixed_trio(backend: BackendSpec = "sharded:2",
     return cluster
 
 
-def repair_demo(backend: str = "replicated:2",
+def _run_repair(backend: str = "replicated:2",
                 kind: str = "dilos-readahead",
                 region_bytes: int = 4 * MIB,
                 local_bytes: int = 1 * MIB,
                 repair: str = ("resilver_period=200,resilver_batch=32,"
                                "scrub_period=1000,scrub_batch=128"),
-                max_advance_us: float = 2_000_000.0) -> Dict[str, Any]:
+                max_advance_us: float = 2_000_000.0) -> "PresetRun":
     """The end-to-end rejoin/repair story behind ``python -m repro repair``.
 
     One DiLOS computing node on a redundant cluster backend walks the
@@ -196,8 +205,10 @@ def repair_demo(backend: str = "replicated:2",
        the read that silently returned stale data before this subsystem
        existed.
 
-    Returns a result dict (phase facts, canonical counters, metrics
-    digest); raises ``AssertionError`` if any byte reads back wrong.
+    The run's report is a dict of phase facts and the canonical
+    ``cluster.*``/``repair.*``/``scrub.*`` counters, and its cluster is
+    the redundant backend. Raises ``AssertionError`` if any byte reads
+    back wrong.
     """
     cluster = make_backend(backend, 2 * region_bytes)
     if isinstance(cluster, ReplicatedMemory):
@@ -268,18 +279,16 @@ def repair_demo(backend: str = "replicated:2",
     merged = cluster.metrics()
     interesting = {key: value for key, value in merged.counters.items()
                    if key.startswith(("cluster.", "repair.", "scrub."))}
-    return {
+    report = {
         "backend": backend,
         "kind": kind,
         "pages": pages,
         "stale_after_degraded": stale_after_degraded,
         "resilver_us": resilver_us,
         "scrub_us": scrub_us,
-        "verified_pages": pages,
         "counters": interesting,
-        "digest": snap.digest(),
-        "time_us": clock.now,
     }
+    return PresetRun(report, cluster, Digests(None, snap.digest(), clock.now))
 
 
 # -- open-loop serving presets -----------------------------------------------
@@ -287,8 +296,9 @@ def repair_demo(backend: str = "replicated:2",
 # Each preset enrolls service tenants (request handlers, not workload
 # generators) and attaches a ServeSpec; ``cluster.serve()`` then plays
 # the whole open-loop story: arrivals -> admission -> balancer -> SLO
-# accounting. ``contrast`` is the ServeSpec override producing the naive
-# run the preset argues against (no admission, load-blind routing).
+# accounting. Each preset's ``contrast`` in :data:`PRESETS` is the
+# ServeSpec override producing the naive run the preset argues against
+# (no admission, load-blind routing).
 
 def flash_crowd(backend: BackendSpec = "sharded:2",
                 kind: str = "dilos-readahead") -> ComputeCluster:
@@ -371,12 +381,12 @@ def llm_flash_crowd(backend: BackendSpec = "sharded:2",
     return cluster
 
 
-def kv_failover(backend: BackendSpec = "replicated:3",
-                kind: str = "dilos-readahead",
-                requests: int = 700,
-                lease_us: float = 120.0,
-                kill_at_us: float = 500.0,
-                rejoin_at_us: float = 800.0):
+def _run_kv_failover(backend: BackendSpec = "replicated:3",
+                     kind: str = "dilos-readahead",
+                     requests: int = 700,
+                     lease_us: float = 120.0,
+                     kill_at_us: float = 500.0,
+                     rejoin_at_us: float = 800.0) -> "PresetRun":
     """The full chaos suite against the replicated KV service.
 
     Two KV tenants serve an open-loop Poisson stream over one redundant
@@ -389,8 +399,6 @@ def kv_failover(backend: BackendSpec = "replicated:3",
     update into the digest — the acceptance criterion is that
     ``kv.lost_updates`` reads 0 and the whole run (trace digest, final
     clock, merged metrics) is byte-identical across repeats.
-
-    Returns ``(cluster, report)``.
     """
     serve = (f"poisson:rate=30k,clients=50k,slo=4ms,requests={requests},"
              "seed=37,balance=least")
@@ -415,25 +423,165 @@ def kv_failover(backend: BackendSpec = "replicated:3",
         service = tenant.extra.get("service")
         if service is not None and hasattr(service, "verify"):
             service.verify()
-    return cluster, report
+    return PresetRun(report, cluster,
+                     Digests(report.trace_digest, cluster.metrics().digest(),
+                             cluster.clock.now))
 
 
-#: name -> (description, builder, naive-contrast overrides, contrast label)
-SERVE_SCENARIOS: Dict[str, Tuple[str, ScenarioBuilder,
-                                 Dict[str, Any], str]] = {
-    "flash_crowd": (
-        "bursty overload; depth admission holds the SLO, naive violates",
-        flash_crowd, {"admission": "none"}, "no admission"),
-    "llm_flash_crowd": (
-        "inference burst; token bucket holds TTFT p99, naive violates",
-        llm_flash_crowd, {"admission": "none"}, "no admission"),
-    "hot_key_skew": (
-        "zipf keys; consistent-hash affinity concentrates the hot head",
-        hot_key_skew, {"balance": "least"}, "least-outstanding"),
-    "slow_tenant_isolation": (
-        "least-outstanding routes around a memory-starved laggard",
-        slow_tenant_isolation, {"balance": "round_robin"}, "round-robin"),
-}
+def _run_tenancy(build: Callable[..., ComputeCluster],
+                 max_quanta: Optional[int] = None,
+                 **kwargs: Any) -> "PresetRun":
+    """Round-robin a tenancy preset's tenants to completion (or for
+    ``max_quanta`` time slices); the report is the cluster snapshot."""
+    cluster = build(**kwargs)
+    snapshot = cluster.run(max_quanta=max_quanta)
+    return PresetRun(snapshot, cluster,
+                     Digests(None, snapshot.digest(), cluster.clock.now))
+
+
+def _run_rack(spec: str = DEFAULT_RACK_SERVE, **kwargs: Any) -> "PresetRun":
+    """Serve :func:`~repro.sim.rack.make_rack` once; ``spec`` replaces
+    the rack's serve spec."""
+    cluster = make_rack(serve=spec, **kwargs)
+    return _served(cluster, cluster.serve())
+
+
+# -- the registry ------------------------------------------------------------
+
+#: A named acceptance check: raises ``AssertionError`` when the property
+#: it names does not hold for the run.
+Check = Callable[["PresetRun"], None]
+
+
+class Digests(NamedTuple):
+    """What a repeated run must reproduce exactly."""
+
+    #: Request-trace digest (serving presets only).
+    trace: Optional[str]
+    metrics: str
+    #: Final simulated clock (us).
+    clock: float
+
+
+@dataclass
+class PresetRun:
+    """One preset run: its report, the cluster it ran on, its digests."""
+
+    report: Any
+    cluster: Any
+    digests: Digests
+    preset: Optional["Preset"] = None
+    #: The overrides this run was built with.
+    overrides: Dict[str, Any] = field(default_factory=dict)
+    _memo: Dict[Any, Any] = field(default_factory=dict, repr=False)
+
+    def memo(self, key: Any, compute: Callable[[], Any]) -> Any:
+        """``compute()`` once per key, so checks share their extra runs."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def rerun(self, **changes: Any) -> "PresetRun":
+        """This preset again, ``changes`` on top of this run's overrides
+        (memoized: the naive contrast runs once for all checks)."""
+        assert self.preset is not None
+        preset = self.preset
+        return self.memo(tuple(sorted(changes.items())),
+                         lambda: preset.run(**{**self.overrides, **changes}))
+
+
+def _given(**overrides: Any) -> Dict[str, Any]:
+    """Drop ``None`` overrides: they mean "the preset's default"."""
+    return {key: value for key, value in overrides.items()
+            if value is not None}
+
+
+def _served(cluster: ComputeCluster, report: Any) -> "PresetRun":
+    return PresetRun(report, cluster,
+                     Digests(report.trace_digest, report.snapshot.digest(),
+                             cluster.clock.now))
+
+
+@dataclass(frozen=True)
+class Preset:
+    """A fixed, repeatable scenario and the properties it demonstrates."""
+
+    description: str
+    #: The CLI command that runs this preset.
+    command: str
+    #: ``runner(**overrides) -> PresetRun``; ``None`` for serve presets,
+    #: which serve :meth:`cluster` once.
+    runner: Optional[Callable[..., PresetRun]] = None
+    #: Check name -> check.
+    checks: Dict[str, Check] = field(default_factory=dict)
+    #: The override sets the checks and the determinism gate run on.
+    variants: Tuple[Dict[str, Any], ...] = ({},)
+    #: Serve presets: the fresh-cluster builder, the ServeSpec overrides
+    #: of the naive contrast run, and a label for that run.
+    build: Optional[Callable[..., ComputeCluster]] = None
+    contrast: Dict[str, Any] = field(default_factory=dict)
+    contrast_label: str = ""
+
+    def cluster(self, naive: bool = False, spec: Any = None,
+                **kwargs: Any) -> ComputeCluster:
+        """A serve preset's fresh cluster. ``spec`` replaces the preset's
+        serve spec; ``naive`` then applies the contrast on top of it."""
+        assert self.build is not None, "not a serve preset"
+        cluster = self.build(**kwargs)
+        if spec is not None:
+            cluster.serve_spec = coerce_serve_spec(spec)
+        if naive:
+            cluster.serve_spec = cluster.serve_spec.with_overrides(
+                **self.contrast)
+        return cluster
+
+    def run(self, **overrides: Any) -> PresetRun:
+        """One fresh run; a ``None`` override keeps the preset default."""
+        overrides = _given(**overrides)
+        if self.runner is not None:
+            result = self.runner(**overrides)
+        else:
+            cluster = self.cluster(**overrides)
+            result = _served(cluster, cluster.serve())
+        result.preset, result.overrides = self, overrides
+        return result
+
+
+class DeterminismError(AssertionError):
+    """A repeated preset run did not reproduce the first run's digests."""
+
+
+def run_preset(name: str, repeat: int = 2, **overrides: Any) -> PresetRun:
+    """Run preset ``name`` ``repeat`` times from scratch and return the
+    first run; every repeat must reproduce its digests (request trace,
+    metrics, final clock) exactly or :class:`DeterminismError` is raised.
+    ``repeat=1`` runs once, ungated."""
+    preset = PRESETS[name]
+    first = preset.run(**overrides)
+    for _ in range(repeat - 1):
+        again = preset.run(**overrides).digests
+        if again != first.digests:
+            raise DeterminismError(
+                f"determinism drift in {name}: the repeated run produced a "
+                "different request trace, metrics digest or final clock "
+                f"({first.digests} != {again})")
+    return first
+
+
+def presets(command: str) -> Dict[str, Preset]:
+    """The presets the CLI ``command`` runs, by name."""
+    return {name: preset for name, preset in PRESETS.items()
+            if preset.command == command}
+
+
+def lookup(name: str, command: str) -> Preset:
+    """The ``command`` preset called ``name``; ``ValueError`` if none."""
+    found = presets(command)
+    if name not in found:
+        noun = "scenario" if command == "tenants" else f"{command} preset"
+        raise ValueError(f"unknown {noun} {name!r}; "
+                         f"pick from {sorted(found)}")
+    return found[name]
 
 
 def build_serve_scenario(name: str, backend: Optional[BackendSpec] = None,
@@ -445,69 +593,419 @@ def build_serve_scenario(name: str, backend: Optional[BackendSpec] = None,
     attached :class:`~repro.serve.ServeSpec` — the configuration the
     preset demonstrates against.
     """
-    try:
-        _, builder, contrast, _ = SERVE_SCENARIOS[name]
-    except KeyError:
-        raise ValueError(f"unknown serve preset {name!r}; "
-                         f"pick from {sorted(SERVE_SCENARIOS)}") from None
-    kwargs: Dict[str, Any] = {}
-    if backend is not None:
-        kwargs["backend"] = backend
-    if kind is not None:
-        kwargs["kind"] = kind
-    cluster = builder(**kwargs)
-    if naive:
-        cluster.serve_spec = cluster.serve_spec.with_overrides(**contrast)
-    return cluster
+    return lookup(name, "serve").cluster(
+        naive=naive, **_given(backend=backend, kind=kind))
 
 
-SCENARIOS: Dict[str, Tuple[str, ScenarioBuilder]] = {
-    "kmeans+redis": ("k-means scan + redis GETs on a shared pool",
-                     kmeans_redis),
-    "stream-duo": ("two identical streamers (fairness smoke)", stream_duo),
-    "mixed-trio": ("k-means + redis + streamer on one pool", mixed_trio),
+# -- acceptance checks -------------------------------------------------------
+
+def _expect(ok: bool, message: str) -> None:
+    if not ok:
+        raise AssertionError(message)
+
+
+def _p99(report: Any) -> float:
+    return report.latency.get("p99", 0.0)
+
+
+def _zero_slo_violations(run: PresetRun) -> None:
+    report = run.report
+    _expect(report.slo_violations == 0,
+            f"admission run violated the SLO {report.slo_violations} times "
+            f"(p99 {_p99(report):.1f} us vs {report.spec.slo_us:g} us)")
+
+
+def _sheds_under_overload(run: PresetRun) -> None:
+    _expect(run.report.shed > 0, "nothing was shed under an overload "
+            "burst; admission is not engaging")
+
+
+def _naive_p99_breaks_slo(run: PresetRun) -> None:
+    naive, slo = run.rerun(naive=True).report, run.report.spec.slo_us
+    _expect(_p99(naive) > slo, f"naive p99 {_p99(naive):.1f} us sits inside "
+            f"the {slo:g} us SLO; the overload demonstration is vacuous")
+
+
+def _naive_violation_rate_over_half(run: PresetRun) -> None:
+    rate = run.rerun(naive=True).report.violation_rate
+    _expect(rate > 0.5, f"naive violation rate {rate:.3f} is too low for "
+            "an overload story")
+
+
+def _goodput_beats_naive(run: PresetRun) -> None:
+    green, naive = run.report, run.rerun(naive=True).report
+    _expect(green.goodput_rps > naive.goodput_rps,
+            "shedding early should beat serving late on goodput "
+            f"({green.goodput_rps:.0f} <= {naive.goodput_rps:.0f})")
+
+
+def _routes_around_laggard(run: PresetRun) -> None:
+    served = run.report.per_tenant
+    _expect(served["laggard"] < min(served["fast1"], served["fast2"]),
+            f"least-outstanding did not route around the laggard ({served})")
+
+
+def _p99_beats_naive(run: PresetRun) -> None:
+    green, naive = _p99(run.report), _p99(run.rerun(naive=True).report)
+    _expect(green < naive, f"preset p99 {green:.1f} us is not below the "
+            f"naive run's {naive:.1f} us")
+
+
+def _hash_concentrates_hot_head(run: PresetRun) -> None:
+    shares = sorted(run.report.per_tenant.values())
+    _expect(shares[-1] > 2 * shares[0], "consistent hashing did not "
+            f"concentrate the hot head ({run.report.per_tenant})")
+
+
+def _ttft_p99_within_slo(run: PresetRun) -> None:
+    report = run.report
+    ttft, slo = report.ttft.get("p99", 0.0), report.spec.slo_us
+    _expect(report.slo_violations == 0 and ttft < slo,
+            f"token bucket failed to hold TTFT p99 ({ttft:.1f} us vs "
+            f"{slo:g} us, {report.slo_violations} violations)")
+
+
+def _naive_ttft_breaks_slo(run: PresetRun) -> None:
+    ttft = run.rerun(naive=True).report.ttft.get("p99", 0.0)
+    slo = run.report.spec.slo_us
+    _expect(ttft > slo, f"naive TTFT p99 {ttft:.1f} us sits inside the "
+            f"{slo:g} us SLO; the overload demonstration is vacuous")
+
+
+def _llm_single(kind: str, ratio: float, batch_on: Optional[bool] = None):
+    """The single-node llm run the token-stream checks compare against."""
+    from repro.apps.llm import PD_CONFIG, LlmWorkload
+    from repro.harness.experiment import local_bytes_for, make_system
+    from repro.mem import batch
+
+    workload = LlmWorkload(n_requests=6, seed=31, config=PD_CONFIG,
+                           prompt_min=24, prompt_max=56,
+                           out_min=8, out_max=16)
+    system = make_system(kind,
+                         local_bytes_for(workload.footprint_bytes, ratio))
+    if batch_on is None:
+        return workload.run(system)
+    with batch.force(batch_on):
+        return workload.run(system)
+
+
+def _llm_reference(run: PresetRun) -> Tuple[str, str]:
+    ref = run.memo("llm_reference",
+                   lambda: _llm_single("dilos-readahead", 1.0))
+    return ref.token_digest, ref.kv_digest
+
+
+def _token_stream_kernel_invariant(run: PresetRun) -> None:
+    want = _llm_reference(run)
+    for kind, ratio, batch_on in (
+            ("dilos-readahead", 0.125, None), ("dilos-readahead", 0.5, None),
+            ("fastswap", 0.25, None), ("aifm-rdma", 0.25, None),
+            ("dilos-readahead", 0.25, True),
+            ("dilos-readahead", 0.25, False)):
+        result = _llm_single(kind, ratio, batch_on)
+        _expect((result.token_digest, result.kv_digest) == want,
+                f"{kind}@{ratio} (batch={batch_on}): token/KV digests "
+                "diverged from the all-local DiLOS run")
+
+
+def _pd_split_matches_single_node(run: PresetRun) -> None:
+    from repro.apps.llm import run_pd
+
+    want = _llm_reference(run)
+    for split in ("3:1", "2:2", "1:3"):
+        pd = run_pd("dilos-readahead", ratio=0.25, split=split,
+                    n_requests=6, seed=31)
+        _expect((pd.token_digest, pd.kv_digest) == want,
+                f"P:D {split}: the token stream diverged from the "
+                "single-node run")
+        _expect(pd.kv_transfer_bytes > 0, f"P:D {split}: no KV was "
+                "transferred between prefill and decode tenants")
+
+
+def _pd_faulty_wire_keeps_tokens(run: PresetRun) -> None:
+    from repro.apps.llm import run_pd
+
+    pd = run_pd("dilos-readahead", ratio=0.25, split="1:2", n_requests=6,
+                seed=31, net_faults="drop=0.02,delay=0.02,delay_us=10,seed=7")
+    _expect((pd.token_digest, pd.kv_digest) == _llm_reference(run),
+            "a dropped/delayed KV transfer changed the decoded stream")
+
+
+def _pd_sweep_jobs2_equals_serial(run: PresetRun) -> None:
+    from repro.apps.llm import PdSweepRunner
+    from repro.harness.experiment import sweep_ratios
+
+    def grid(jobs):
+        cells = sweep_ratios("llm", PdSweepRunner("dilos-readahead",
+                                                  n_requests=6),
+                             ["2:2", "1:3"], [0.25, 1.0],
+                             backend="sharded:2", jobs=jobs)
+        return [(c.system, c.ratio, c.value, c.extra) for c in cells]
+
+    _expect(grid(None) == grid(2), "the --jobs 2 llm sweep is not "
+            "byte-identical to the serial one")
+
+
+def _kv_counter(run: PresetRun, key: str) -> float:
+    return run.memo("metrics", run.cluster.metrics).value(key)
+
+
+def _zero_lost_updates(run: PresetRun) -> None:
+    lost = _kv_counter(run, "kv.lost_updates")
+    _expect(lost == 0, f"{lost:g} acknowledged writes did not survive the "
+            "failover")
+
+
+def _fails_over(run: PresetRun) -> None:
+    _expect(_kv_counter(run, "kv.failovers") >= 1,
+            "the lease-holder kill never triggered a failover")
+
+
+def _blackout_rejects_requests(run: PresetRun) -> None:
+    _expect(_kv_counter(run, "kv.unavail_rejects") > 0,
+            "no request was rejected during the lease blackout; the "
+            "split-brain guard never engaged")
+
+
+def _failover_within_unavailability(run: PresetRun) -> None:
+    failover = _kv_counter(run, "kv.failover_us")
+    unavail = _kv_counter(run, "kv.unavail_us")
+    _expect(0 < failover <= unavail, "failover latency unaccounted or "
+            f"unbounded (failover_us={failover:g}, unavail_us={unavail:g})")
+
+
+def _kv_resilvers_rejoined_member(run: PresetRun) -> None:
+    _expect(_kv_counter(run, "repair.pages_resilvered") > 0,
+            "the rejoined member resilvered nothing")
+
+
+def _kv_promotes_rejoined_member(run: PresetRun) -> None:
+    _expect(_kv_counter(run, "repair.nodes_promoted") == 1,
+            "the rejoined member was never promoted back to full service")
+
+
+def _no_stale_slots(run: PresetRun) -> None:
+    stale = run.cluster.backend.stale_slots
+    _expect(stale == 0, f"{stale} slots still stale at the end of the run")
+
+
+def _journals_degraded_writes(run: PresetRun) -> None:
+    _expect(run.report["stale_after_degraded"] > 0,
+            "no writes were journaled while the member was down")
+
+
+def _resilver_drains_journal(run: PresetRun) -> None:
+    resilvered = run.report["counters"]["repair.pages_resilvered"]
+    journaled = run.report["stale_after_degraded"]
+    _expect(resilvered == journaled, f"resilvered {resilvered} pages but "
+            f"{journaled} were journaled")
+
+
+def _repair_promotes_rejoined_member(run: PresetRun) -> None:
+    _expect(run.report["counters"]["repair.nodes_promoted"] == 1,
+            "the rejoined member was never promoted back to full service")
+
+
+def _scrub_repairs_injected_rot(run: PresetRun) -> None:
+    counters = run.report["counters"]
+    _expect(counters["scrub.mismatches"] == counters["scrub.repaired"] == 1,
+            "the scrubber missed the injected rot (mismatches="
+            f"{counters['scrub.mismatches']}, "
+            f"repaired={counters['scrub.repaired']})")
+
+
+def _nothing_quarantined(run: PresetRun) -> None:
+    quarantined = run.report["counters"]["scrub.quarantined"]
+    _expect(quarantined == 0, f"the scrubber quarantined {quarantined} pages")
+
+
+def _cluster_counters_repeat(run: PresetRun) -> None:
+    # The metrics digest covers the node's snapshot, not the backend's
+    # own cluster/repair/scrub registry, so compare those counters too.
+    _expect(run.rerun().report["counters"] == run.report["counters"],
+            "the cluster/repair/scrub counters drifted across two runs")
+
+
+#: The rack checks' placement x oversubscription grid: 6 tenants stripe
+#: unevenly over the 4 compute nodes, on a short arrival stream.
+_RACK_GRID = (["locality", "load"], [1.0, 4.0])
+_RACK_CELL = dict(tenants=6, n_keys=32,
+                  serve=("poisson:rate=400k,clients=1m,slo=2ms,requests=600,"
+                         "seed=29,balance=round_robin"))
+
+
+def _rack_sweep(run: PresetRun, jobs: int = 1) -> list:
+    return run.memo(("sweep", jobs),
+                    lambda: sweep_rack(*_RACK_GRID, jobs=jobs, **_RACK_CELL))
+
+
+def _rack_cell(run: PresetRun, placement: str, oversub: float) -> dict:
+    return next(row for row in _rack_sweep(run)
+                if (row["placement"], row["oversub"]) == (placement, oversub))
+
+
+def _sweep_is_deterministic(run: PresetRun) -> None:
+    again = sweep_rack(*_RACK_GRID, jobs=1, **_RACK_CELL)
+    _expect(_rack_sweep(run) == again,
+            "the rack sweep drifted across two serial runs")
+
+
+def _jobs2_sweep_equals_serial(run: PresetRun) -> None:
+    _expect(_rack_sweep(run, jobs=2) == _rack_sweep(run),
+            "the jobs=2 rack sweep is not byte-identical to the serial one")
+
+
+def _locality_never_crosses_trunk(run: PresetRun) -> None:
+    for oversub in _RACK_GRID[1]:
+        crossings = _rack_cell(run, "locality", oversub)["trunk_crossings"]
+        _expect(crossings == 0, f"locality placement crossed the trunk "
+                f"{crossings:.0f} times at oversub={oversub:g}")
+
+
+def _load_crosses_trunk(run: PresetRun) -> None:
+    for oversub in _RACK_GRID[1]:
+        _expect(_rack_cell(run, "load", oversub)["trunk_crossings"] > 0,
+                f"load placement never crossed the trunk at "
+                f"oversub={oversub:g}; the contrast is vacuous")
+
+
+def _oversubscribed_trunk_queues(run: PresetRun) -> None:
+    _expect(_rack_cell(run, "load", 4.0)["trunk_queue_us"] > 0,
+            "the oversubscribed trunk shows no queueing under load placement")
+
+
+def _trunk_queueing_reaches_p99(run: PresetRun) -> None:
+    load = _rack_cell(run, "load", 4.0)["p99_us"]
+    locality = _rack_cell(run, "locality", 4.0)["p99_us"]
+    _expect(load > locality, f"load placement's trunk queueing did not reach "
+            f"p99 under an oversubscribed ToR ({load:.2f} <= {locality:.2f})")
+
+
+def _stranded(run: PresetRun, placement: str) -> int:
+    return run.memo(("stranded", placement), lambda: make_rack(
+        placement=placement, **_RACK_CELL).pool.stranded_slots)
+
+
+def _locality_strands_uneven_striping(run: PresetRun) -> None:
+    _expect(_stranded(run, "locality") > 0,
+            "uneven striping stranded nothing under locality placement")
+
+
+def _load_strands_less_than_locality(run: PresetRun) -> None:
+    load, locality = _stranded(run, "load"), _stranded(run, "locality")
+    _expect(load < locality, f"load placement stranded {load} slots, not "
+            f"less than locality's {locality}")
+
+
+# -- the table ---------------------------------------------------------------
+
+_FLASH_CROWD_CHECKS: Dict[str, Check] = {
+    "zero_slo_violations": _zero_slo_violations,
+    "sheds_under_overload": _sheds_under_overload,
+    "naive_p99_breaks_slo": _naive_p99_breaks_slo,
+    "naive_violation_rate_over_half": _naive_violation_rate_over_half,
+    "goodput_beats_naive": _goodput_beats_naive,
 }
 
-#: Backends ``repair_demo`` accepts (redundant ones only).
-REPAIR_DEMO_BACKENDS = ("replicated:2", "replicated:3", "parity:2+1",
-                        "parity:3+1")
-
-
-def build_scenario(name: str, backend: Optional[BackendSpec] = None,
-                   quantum_us: Optional[float] = None,
-                   kind: Optional[str] = None) -> ComputeCluster:
-    """Build a preset by name, optionally overriding the backend spec,
-    scheduling quantum, or kernel kind."""
-    try:
-        _, builder = SCENARIOS[name]
-    except KeyError:
-        raise ValueError(f"unknown scenario {name!r}; "
-                         f"pick from {sorted(SCENARIOS)}") from None
-    kwargs = {}
-    if backend is not None:
-        kwargs["backend"] = backend
-    if quantum_us is not None:
-        kwargs["quantum_us"] = quantum_us
-    if kind is not None:
-        kwargs["kind"] = kind
-    return builder(**kwargs)
+#: Every preset, by name.
+PRESETS: Dict[str, Preset] = {
+    "flash_crowd": Preset(
+        "bursty overload; depth admission holds the SLO, naive violates",
+        "serve", build=flash_crowd, contrast={"admission": "none"},
+        contrast_label="no admission", checks=_FLASH_CROWD_CHECKS),
+    "llm_flash_crowd": Preset(
+        "inference burst; token bucket holds TTFT p99, naive violates",
+        "serve", build=llm_flash_crowd, contrast={"admission": "none"},
+        contrast_label="no admission", checks={
+            "ttft_p99_within_slo": _ttft_p99_within_slo,
+            "naive_ttft_breaks_slo": _naive_ttft_breaks_slo,
+            "token_stream_kernel_invariant": _token_stream_kernel_invariant,
+            "pd_split_matches_single_node": _pd_split_matches_single_node,
+            "pd_faulty_wire_keeps_tokens": _pd_faulty_wire_keeps_tokens,
+            "pd_sweep_jobs2_equals_serial": _pd_sweep_jobs2_equals_serial,
+        }),
+    "hot_key_skew": Preset(
+        "zipf keys; consistent-hash affinity concentrates the hot head",
+        "serve", build=hot_key_skew, contrast={"balance": "least"},
+        contrast_label="least-outstanding", checks={
+            "hash_concentrates_hot_head": _hash_concentrates_hot_head,
+        }),
+    "slow_tenant_isolation": Preset(
+        "least-outstanding routes around a memory-starved laggard",
+        "serve", build=slow_tenant_isolation,
+        contrast={"balance": "round_robin"}, contrast_label="round-robin",
+        checks={
+            "routes_around_laggard": _routes_around_laggard,
+            "p99_beats_round_robin": _p99_beats_naive,
+        }),
+    "kmeans+redis": Preset(
+        "k-means scan + redis GETs on a shared pool", "tenants",
+        partial(_run_tenancy, kmeans_redis)),
+    "stream-duo": Preset(
+        "two identical streamers (fairness smoke)", "tenants",
+        partial(_run_tenancy, stream_duo)),
+    "mixed-trio": Preset(
+        "k-means + redis + streamer on one pool", "tenants",
+        partial(_run_tenancy, mixed_trio)),
+    "kv_failover": Preset(
+        "replicated KV: lease-holder kill, failover, rejoin + resilver",
+        "kv", _run_kv_failover,
+        variants=({}, {"backend": "parity:2+1"}), checks={
+            "zero_lost_updates": _zero_lost_updates,
+            "fails_over": _fails_over,
+            "blackout_rejects_requests": _blackout_rejects_requests,
+            "failover_within_unavailability":
+                _failover_within_unavailability,
+            "resilvers_rejoined_member": _kv_resilvers_rejoined_member,
+            "promotes_rejoined_member": _kv_promotes_rejoined_member,
+            "no_stale_slots": _no_stale_slots,
+        }),
+    "rack": Preset(
+        "redis tenants striped over a pooled rack with link contention",
+        "rack", _run_rack, checks={
+            "sweep_is_deterministic": _sweep_is_deterministic,
+            "jobs2_sweep_equals_serial": _jobs2_sweep_equals_serial,
+            "locality_never_crosses_trunk": _locality_never_crosses_trunk,
+            "load_crosses_trunk": _load_crosses_trunk,
+            "oversubscribed_trunk_queues": _oversubscribed_trunk_queues,
+            "trunk_queueing_reaches_p99": _trunk_queueing_reaches_p99,
+            "locality_strands_uneven_striping":
+                _locality_strands_uneven_striping,
+            "load_strands_less_than_locality":
+                _load_strands_less_than_locality,
+        }),
+    "repair": Preset(
+        "node rejoin: degraded writes, resilver, scrub, byte-exact verify",
+        "repair", _run_repair,
+        variants=({}, {"backend": "parity:3+1"}), checks={
+            "journals_degraded_writes": _journals_degraded_writes,
+            "resilver_drains_journal": _resilver_drains_journal,
+            "promotes_rejoined_member": _repair_promotes_rejoined_member,
+            "scrub_repairs_injected_rot": _scrub_repairs_injected_rot,
+            "nothing_quarantined": _nothing_quarantined,
+            "cluster_counters_repeat": _cluster_counters_repeat,
+        }),
+}
 
 
 __all__ = [
-    "REPAIR_DEMO_BACKENDS",
-    "SCENARIOS",
-    "SERVE_SCENARIOS",
-    "build_scenario",
+    "Check",
+    "DeterminismError",
+    "Digests",
+    "PRESETS",
+    "Preset",
+    "PresetRun",
     "build_serve_scenario",
     "flash_crowd",
     "hot_key_skew",
-    "kv_failover",
-    "llm_flash_crowd",
-    "repair_demo",
     "kmeans_redis",
     "kmeans_tenant",
+    "llm_flash_crowd",
+    "lookup",
     "mixed_trio",
+    "presets",
     "redis_get_tenant",
+    "run_preset",
     "seqread_tenant",
     "slow_tenant_isolation",
     "stream_duo",

@@ -115,6 +115,53 @@ class TestCommands:
         assert main(["kv", "--backend", "sharded:2", "--once"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_gated_command_exits_1_on_drift(self, capsys, monkeypatch):
+        from repro.harness import scenarios
+
+        def drifting(name, repeat=2, **overrides):
+            raise scenarios.DeterminismError(f"determinism drift in {name}")
+
+        monkeypatch.setattr(scenarios, "run_preset", drifting)
+        assert main(["kv", "--requests", "50"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: determinism drift in kv_failover")
+
+    def test_serve_contrast_survives_spec(self, capsys):
+        # The naive column applies the preset's contrast (no admission)
+        # on top of --spec, so it sheds nothing while the preset's
+        # depth admission sheds.
+        spec = ("poisson:rate=500k,clients=1m,slo=1ms,requests=3000,"
+                "seed=5,admission=depth/8")
+        assert main(["serve", "--preset", "flash_crowd", "--spec", spec,
+                     "--once"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()
+                if line.startswith("shed ")]
+        [contrast] = [row for row in rows if len(row) == 3]
+        assert int(contrast[1]) > 0
+        assert int(contrast[2]) == 0
+
+    def test_rack_sweep_rejects_two_kernels(self, capsys):
+        assert main(["sweep", "rack", "--systems", "fastswap",
+                     "dilos-readahead"]) == 2
+        assert "exactly one" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["seqrw", "--ratio", "0"],
+        ["seqrw", "--ratio", "-1"],
+        ["sweep", "quicksort", "--ratios", "0"],
+        ["llm", "--requests", "0"],
+        ["llm", "--requests", "0", "--pd-split", "1:1"],
+    ], ids=["ratio-0", "ratio-neg", "sweep-ratios-0", "llm-requests-0",
+            "llm-pd-requests-0"])
+    def test_bad_input_exits_2_cleanly(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestLlmCommands:
     def test_llm_single_node(self, capsys):
@@ -145,6 +192,11 @@ class TestLlmCommands:
     # The sweep's grid validation must run before any --jobs pool
     # worker spawns: a SystemExit inside a worker hangs the map, so
     # every bad configuration has to die up front with exit 2.
+
+    def test_llm_sweep_defaults_to_one_kernel(self, capsys):
+        assert main(["sweep", "llm", "--pd-splits", "1:1", "--ratios",
+                     "1.0", "--size", "3"]) == 0
+        assert "on dilos-readahead" in capsys.readouterr().out
 
     def test_llm_sweep_rejects_aifm_up_front(self, capsys):
         assert main(["sweep", "llm", "--systems", "aifm-rdma",

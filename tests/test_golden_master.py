@@ -166,10 +166,9 @@ def _run_llm(kind: str, backend: str = "node"):
 
 
 def _run_kv_failover():
-    from repro.harness.scenarios import kv_failover
+    from repro.harness.scenarios import PRESETS
 
-    cluster, _report = kv_failover()
-    return cluster
+    return PRESETS["kv_failover"].run().cluster
 
 
 def _forced(builder, batch_on: bool):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.units import KIB, MIB
 from repro.core.spec import SystemSpec
-from repro.harness.scenarios import SERVE_SCENARIOS, build_serve_scenario
+from repro.harness.scenarios import build_serve_scenario, presets
 from repro.obs.registry import MetricsRegistry
 from repro.serve import (
     ServeSpec,
@@ -386,9 +386,9 @@ class TestServeFrontend:
 
 class TestServePresets:
     def test_registry_shape(self):
-        assert set(SERVE_SCENARIOS) == {"flash_crowd", "hot_key_skew",
-                                        "slow_tenant_isolation",
-                                        "llm_flash_crowd"}
+        assert set(presets("serve")) == {"flash_crowd", "hot_key_skew",
+                                         "slow_tenant_isolation",
+                                         "llm_flash_crowd"}
         with pytest.raises(ValueError, match="unknown serve preset"):
             build_serve_scenario("thundering_herd")
 

@@ -5,9 +5,10 @@ import pytest
 from repro.common.units import KIB, MIB, PAGE_SIZE
 from repro.core.spec import SystemSpec
 from repro.harness.scenarios import (
-    SCENARIOS,
-    build_scenario,
+    PRESETS,
     kmeans_tenant,
+    lookup,
+    presets,
     redis_get_tenant,
     seqread_tenant,
 )
@@ -169,20 +170,20 @@ class TestMergedMetrics:
 
 class TestScenarioPresets:
     def test_presets_listed(self):
-        assert "kmeans+redis" in SCENARIOS
-        for name, (desc, builder) in SCENARIOS.items():
-            assert desc and callable(builder)
+        assert set(presets("tenants")) == {"kmeans+redis", "stream-duo",
+                                           "mixed-trio"}
+        for preset in presets("tenants").values():
+            assert preset.description and callable(preset.runner)
 
     def test_unknown_scenario_raises(self):
         with pytest.raises(ValueError, match="unknown scenario"):
-            build_scenario("nope")
+            lookup("nope", "tenants")
 
     def test_kmeans_redis_two_tenant_determinism(self):
         """The acceptance scenario: kmeans + redis on shared sharded:2 is
         deterministic (same seed => same merged digest) and reports
         per-tenant fault/prefetch/net metrics plus aggregate counters."""
-        first = build_scenario("kmeans+redis")
-        snap = first.run()
+        snap = PRESETS["kmeans+redis"].run().report
         for tenant in ("kmeans", "redis"):
             assert snap.value(f"tenant.{tenant}.fault.major") > 0
             assert snap.value(f"tenant.{tenant}.prefetch.issued") > 0
@@ -190,12 +191,13 @@ class TestScenarioPresets:
         assert snap.value("cluster.quanta") > 2  # genuinely interleaved
         assert snap.value("backend.free_slots") < \
             snap.value("backend.total_slots")
-        second = build_scenario("kmeans+redis")
-        assert second.run().digest() == snap.digest()
+        second = PRESETS["kmeans+redis"].run().report
+        assert second.digest() == snap.digest()
 
     def test_scenario_overrides(self):
-        cluster = build_scenario("stream-duo", backend="sharded:2",
-                                 quantum_us=50.0, kind="fastswap")
+        cluster = PRESETS["stream-duo"].run(
+            backend="sharded:2", quantum_us=50.0, kind="fastswap",
+            max_quanta=1).cluster
         assert cluster.backend_label == "sharded:2"
         assert cluster.quantum_us == 50.0
         assert cluster.tenants[0].spec.kind == "fastswap"
