@@ -37,6 +37,7 @@ until a KV service is built, so pre-existing digests are untouched.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 from zlib import crc32
 
@@ -128,8 +129,11 @@ class KvStoreService:
         self.write_fraction = write_fraction
         self.seed = seed
         self.max_value_bytes = PAGE_SIZE - _HEADER_BYTES
-        self._weights = (zipf_weights(n_keys, skew)
-                         if n_keys and skew > 0.0 else None)
+        # Cumulative Zipf weights, built once: rng.choices(weights=...)
+        # would re-accumulate them on every draw, with the same
+        # accumulate() and so the same draws.
+        self._cum_weights = (list(accumulate(zipf_weights(n_keys, skew)))
+                             if n_keys and skew > 0.0 else None)
         # One backend slot per key; the acknowledged (version, crc) and
         # length of every live key — the ground truth GET/verify audit
         # against. A deleted key keeps its slot (tombstoned) and its
@@ -272,9 +276,9 @@ class KvStoreService:
         if not self.n_keys:
             raise ValueError("sample_request needs a populated keyspace "
                              "(build the service with n_keys > 0)")
-        if self._weights is not None:
+        if self._cum_weights is not None:
             index = rng.choices(range(self.n_keys),
-                                weights=self._weights, k=1)[0]
+                                cum_weights=self._cum_weights, k=1)[0]
         else:
             index = rng.randrange(self.n_keys)
         key = b"kv:%d" % index

@@ -17,6 +17,7 @@ can synthesize a GET-dominated request stream with tunable hot-key skew.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from typing import Dict, Optional
 
 from repro.alloc.mimalloc import Mimalloc
@@ -41,8 +42,11 @@ class RedisService:
         self.write_fraction = write_fraction
         self.seed = seed
         self.skew = skew
-        self._weights = (zipf_weights(n_keys, skew)
-                         if n_keys and skew > 0.0 else None)
+        # Cumulative Zipf weights, built once: rng.choices(weights=...)
+        # would re-accumulate them on every draw, with the same
+        # accumulate() and so the same draws.
+        self._cum_weights = (list(accumulate(zipf_weights(n_keys, skew)))
+                             if n_keys and skew > 0.0 else None)
         self._handlers = {
             "get": self._get,
             "set": self._set,
@@ -74,9 +78,9 @@ class RedisService:
         if not self.n_keys:
             raise ValueError("sample_request needs a populated keyspace "
                              "(build the service with n_keys > 0)")
-        if self._weights is not None:
+        if self._cum_weights is not None:
             index = rng.choices(range(self.n_keys),
-                                weights=self._weights, k=1)[0]
+                                cum_weights=self._cum_weights, k=1)[0]
         else:
             index = rng.randrange(self.n_keys)
         key = b"key:%d" % index

@@ -23,7 +23,6 @@ from collections import deque
 from typing import Callable, Dict, List, Optional
 
 from repro.common.clock import Clock
-from repro.common.errors import InvalidAddressError
 from repro.common.units import PAGE_SHIFT, PAGE_SIZE
 from repro.core.api import BaseSystem
 from repro.core.comm import CommModule
@@ -36,7 +35,6 @@ from repro.mem.addrspace import AddressSpace, Region
 from repro.mem.frames import FramePool
 from repro.mem.remote import MemoryNode, NodeFailedError
 from repro.mem.vm import VirtualMemory
-from repro.net.qp import Completion
 from repro.obs import (
     DILOS_ALIASES,
     LegacyCounters,
@@ -46,18 +44,20 @@ from repro.obs import (
 
 Tag = pte_mod.Tag
 
+#: The present and write bits of a PTE; a PTE that has the write bit but
+#: not the present bit is REMOTE or ACTION, the two prefetchable tags.
+_PRESENT_WRITE = pte_mod.PTE_PRESENT | pte_mod.PTE_WRITE
+
 
 class _PrefetchOps:
     """The capability surface handed to prefetch policies."""
 
     def __init__(self, kernel: "DilosKernel") -> None:
         self._kernel = kernel
-
-    def prefetch(self, vpn: int) -> bool:
-        return self._kernel.prefetch_vpn(vpn)
-
-    def hit_ratio(self) -> float:
-        return self._kernel.hit_tracker.hit_ratio()
+        # Bound straight to the kernel: prefetchers call these once per
+        # candidate page inside every fault window.
+        self.prefetch: Callable[[int], bool] = kernel.prefetch_vpn
+        self.hit_ratio: Callable[[], float] = kernel.hit_tracker.hit_ratio
 
     def recent_faults(self) -> List[int]:
         return list(self._kernel.recent_faults)
@@ -97,6 +97,8 @@ class DilosKernel:
                     "prefetch.issued", "reclaim.direct",
                     "reclaim.pages_evicted", "reclaim.pages_cleaned"):
             self.registry.counter(key)
+        self._fault_major = self.registry.counter("fault.major")
+        self._prefetch_issued = self.registry.counter("prefetch.issued")
         self.breakdown = self.registry.breakdown("fault.breakdown")
         self.minor_wait = self.registry.histogram("fault.minor_wait_us")
         self.comm = CommModule(
@@ -183,13 +185,16 @@ class DilosKernel:
                 # Ablation path: the page already arrived but sits behind
                 # the swap-cache indirection; pay a minor fault to map it.
                 clock.advance(model.fastswap_minor_fault)
-                self._map(vpn, frame, dirty=False)
+                region = self._as.region_for(va)
+                self._pt.set(vpn, pte_mod.make_local(
+                    frame, writable=region.writable))
+                self.page_manager.insert(vpn)
                 self.registry.add("fault.minor")
                 if tracer.enabled:
                     tracer.instant("fault.minor", "fault", clock.now,
                                    {"vpn": vpn, "kind": "swap_cache"})
                 return
-        self._major_fault(vpn, va, entry, tag, fault_start)
+        self._major_fault(vpn, va, entry, fault_start)
 
     def _wait_for_fetch(self, entry: int, vpn: int) -> None:
         """Spin until a concurrent fetch of this page completes."""
@@ -225,11 +230,11 @@ class DilosKernel:
             self.tracer.instant("fault.first_touch", "fault", self.clock.now,
                                 {"vpn": vpn})
 
-    def _major_fault(self, vpn: int, va: int, entry: int, tag: Tag,
+    def _major_fault(self, vpn: int, va: int, entry: int,
                      fault_start: float) -> None:
         clock = self.clock
         model = self.model
-        self.registry.add("fault.major")
+        self._fault_major.add()
         self.recent_faults.append(vpn)
         components = {
             "exception": model.fault_entry,
@@ -240,7 +245,7 @@ class DilosKernel:
         clock.advance(model.dilos_page_alloc)
         components["reclaim"] = inline_us
 
-        token = self._issue_fetch(vpn, frame, entry, tag, module="fault")
+        token = self._issue_fetch(vpn, frame, entry, "fault")
         issue_time = clock.now
         ready = self._fetch_ready.get(token)
 
@@ -282,18 +287,38 @@ class DilosKernel:
 
     # -- fetch machinery ---------------------------------------------------------
 
-    def _issue_fetch(self, vpn: int, frame: int, entry: int, tag: Tag,
+    def _issue_fetch(self, vpn: int, frame: int, entry: int,
                      module: str) -> int:
-        """Flip the PTE to FETCHING and post the READ; returns the token."""
-        token = self._next_token
-        self._next_token += 1
-        self._pt.set(vpn, pte_mod.make_fetching(token))
-        remote_off = self._as.remote_offset_for(vpn)
-        into_cache = module == "prefetch" and self.config.swap_cache_mode
+        """Flip the PTE to FETCHING and post the READ; returns the token.
 
+        ``entry`` is the page's REMOTE or ACTION PTE. The completion runs
+        one timer callback: it installs the page unless the READ was
+        cancelled or lost with its memory node and then, for a prefetch,
+        always notes the page with the hit tracker. Install-then-note is
+        the firing order the golden digests pin.
+        """
+        token = self._next_token
+        self._next_token = token + 1
+        fetching = pte_mod.make_fetching(token)
+        self._pt.set(vpn, fetching)
+        remote_off = self._as.remote_offset_for(vpn)
+        prefetch = module == "prefetch"
+        into_cache = prefetch and self.config.swap_cache_mode
+        vector: Optional[List] = None
         try:
-            return self._post_fetch(vpn, frame, entry, tag, token,
-                                    remote_off, module, into_cache)
+            if entry & pte_mod.PTE_USER:  # ACTION: a guided-paging vector
+                vector = self.page_manager.action_vector(vpn)
+                self.registry.add("guide.action_fetches")
+                if not vector:
+                    self._install(vpn, frame, token, fetching, None,
+                                  into_cache)
+                    return token
+            qp = self.comm.qp(module)
+            if vector is None:
+                completion = qp.post_read(remote_off, PAGE_SIZE)
+            else:
+                completion = qp.post_read_sg(
+                    [(remote_off + off, length) for off, length in vector])
         except NodeFailedError:
             # The memory node died mid-fetch: roll the PTE back and free
             # the frame so the fault can be retried (or surfaced) cleanly.
@@ -302,46 +327,35 @@ class DilosKernel:
             self._fetch_ready.pop(token, None)
             self.registry.add("net.fetch_node_failures")
             raise
-
-    def _post_fetch(self, vpn: int, frame: int, entry: int, tag: Tag,
-                    token: int, remote_off: int, module: str,
-                    into_cache: bool) -> int:
-        if tag is Tag.ACTION:
-            vector = self.page_manager.action_vector(vpn)
-            self.registry.add("guide.action_fetches")
-            if not vector:
-                self._install(vpn, frame, token, None, into_cache)
-                return token
-            segments = [(remote_off + off, length) for off, length in vector]
-            completion = self.comm.qp(module).post_read_sg(
-                segments,
-                on_complete=lambda c, v=vector: self._install_sg(
-                    vpn, frame, token, v, c, into_cache))
-        else:
-            completion = self.comm.qp(module).post_read(
-                remote_off, PAGE_SIZE,
-                on_complete=lambda c: self._install(
-                    vpn, frame, token, c.data, into_cache))
         self._fetch_ready[token] = completion.time
+
+        def complete() -> None:
+            if not completion.cancelled and not completion.failed:
+                data = completion.data
+                if vector is not None:
+                    # Scatter the guided fetch's segments into the
+                    # zeroed frame.
+                    buf = self._frames.data(frame)
+                    cursor = 0
+                    for off, length in vector:
+                        buf[off:off + length] = data[cursor:cursor + length]
+                        cursor += length
+                    data = None
+                self._install(vpn, frame, token, fetching, data, into_cache)
+            if prefetch:
+                self.hit_tracker.note_installed(vpn)
+
+        self.clock.call_at(completion.time, complete)
         return token
 
-    def _install_sg(self, vpn: int, frame: int, token: int,
-                    vector: List, completion: Completion,
-                    into_cache: bool) -> None:
-        """Scatter a guided fetch's segments into a zeroed frame."""
-        data = self._frames.data(frame)
-        cursor = 0
-        payload = completion.data
-        for off, length in vector:
-            data[off:off + length] = payload[cursor:cursor + length]
-            cursor += length
-        self._install(vpn, frame, token, None, into_cache)
-
-    def _install(self, vpn: int, frame: int, token: int,
+    def _install(self, vpn: int, frame: int, token: int, fetching: int,
                  data: Optional[bytes], into_cache: bool) -> None:
-        """Map a fetched page (or park it in the ablation swap cache)."""
-        expected = pte_mod.make_fetching(token)
-        if self._pt.get(vpn) != expected:
+        """Map a fetched page (or park it in the ablation swap cache).
+
+        ``fetching`` is the FETCHING PTE that ``token``'s READ left.
+        """
+        pt = self._pt
+        if pt.get(vpn) != fetching:
             # The mapping vanished mid-flight (munmap); drop the page.
             self._frames.free(frame)
             self._fetch_ready.pop(token, None)
@@ -351,16 +365,12 @@ class DilosKernel:
             self._frames.data(frame)[:] = data
         self._fetch_ready.pop(token, None)
         if into_cache:
-            self._pt.set(vpn, pte_mod.make_remote(self._as.remote_pfn_for(vpn)))
+            pt.set(vpn, pte_mod.make_remote(self._as.remote_pfn_for(vpn)))
             self._swap_cache[vpn] = frame
             self.registry.add("swapcache.installs")
             return
-        self._map(vpn, frame, dirty=False)
-
-    def _map(self, vpn: int, frame: int, dirty: bool) -> None:
         region = self._as.region_for(vpn << PAGE_SHIFT)
-        self._pt.set(vpn, pte_mod.make_local(frame, dirty=dirty,
-                                             writable=region.writable))
+        pt.set(vpn, pte_mod.make_local(frame, writable=region.writable))
         self.page_manager.insert(vpn)
 
     # -- prefetch (§4.3) -----------------------------------------------------------
@@ -368,25 +378,20 @@ class DilosKernel:
     def prefetch_vpn(self, vpn: int) -> bool:
         """Async prefetch of ``vpn`` on the prefetch QP; False if skipped."""
         entry = self._pt.get(vpn)
-        tag = pte_mod.classify(entry)
-        if tag not in (Tag.REMOTE, Tag.ACTION):
-            return False
+        if entry & _PRESENT_WRITE != pte_mod.PTE_WRITE:
+            return False  # neither REMOTE nor ACTION
         frame = self.page_manager.alloc_frame_for_prefetch()
         if frame is None:
             return False
         try:
-            token = self._issue_fetch(vpn, frame, entry, tag,
-                                      module="prefetch")
+            self._issue_fetch(vpn, frame, entry, "prefetch")
         except NodeFailedError:
             # A dead node must not take down speculative work.
             return False
-        self.registry.add("prefetch.issued")
+        self._prefetch_issued.add()
         if self.tracer.enabled:
             self.tracer.instant("prefetch.issue", "prefetch", self.clock.now,
                                 {"vpn": vpn})
-        ready = self._fetch_ready.get(token)
-        if ready is not None:
-            self.clock.call_at(ready, lambda: self.hit_tracker.note_installed(vpn))
         return True
 
     # -- guide support (§4.3/§4.4) ----------------------------------------------------

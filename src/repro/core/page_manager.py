@@ -40,6 +40,10 @@ from repro.obs import LegacyCounters, Observability
 
 Range = Tuple[int, int]
 
+_PRESENT = pte_mod.PTE_PRESENT
+_ACCESSED = pte_mod.PTE_ACCESSED
+_DIRTY = pte_mod.PTE_DIRTY
+
 #: Cap on scatter-gather vector length (§6.3: longer vectors slow sharply).
 MAX_SG_SEGMENTS = 3
 
@@ -69,6 +73,9 @@ class PageManager:
         self._registry = obs.registry
         self._tracer = obs.tracer
         self.counters = LegacyCounters(self._registry)
+        # Registered at zero by the kernel before the manager is built.
+        self._pages_evicted = self._registry.counter("reclaim.pages_evicted")
+        self._pages_cleaned = self._registry.counter("reclaim.pages_cleaned")
         total = frames.total_frames
         # Watermarks scale with the pool but never reserve more than a
         # quarter of it — a tiny cache must still mostly hold pages.
@@ -253,9 +260,18 @@ class PageManager:
             return cleaned
         start = self._clock.now
         cleaned = 0
-        for vpn in self._rotate(budget, second_chance=False):
-            entry = self._pt.get(vpn)
-            if pte_mod.is_dirty(entry):
+        # The clock-hand scan: stale (unmapped) entries are dropped, the
+        # rest rotate to the back and are cleaned if dirty.
+        for _ in range(min(budget, n)):
+            if not lru:
+                break
+            vpn, _ = lru.popitem(last=False)
+            entry = pt.get(vpn)
+            if not entry & _PRESENT:
+                self._clean_vectors.pop(vpn, None)
+                continue
+            lru[vpn] = None
+            if entry & _DIRTY:
                 self._clean(vpn, entry)
                 cleaned += 1
         if cleaned and self._tracer.enabled:
@@ -270,15 +286,33 @@ class PageManager:
             self._replay_rotation()
         start = self._clock.now
         evicted = 0
-        # Each rotation examines at most the whole LRU once.
-        for vpn in self._rotate(len(self._lru), second_chance=True):
+        pt = self._pt
+        lru = self._lru
+        # The clock-hand scan examines at most the whole LRU once. Stale
+        # (unmapped) entries are dropped; accessed pages get a second
+        # chance (bit cleared, sent to the back); every other page is a
+        # candidate and is rotated to the back *before* the target check,
+        # so the pass that reaches its target still moves one candidate.
+        for _ in range(len(lru)):
+            if not lru:
+                break
+            vpn, _ = lru.popitem(last=False)
+            entry = pt.get(vpn)
+            if not entry & _PRESENT:
+                self._clean_vectors.pop(vpn, None)
+                continue
+            if entry & _ACCESSED:
+                pt.set(vpn, entry & ~_ACCESSED)
+                self._tlb.invalidate(vpn)
+                lru[vpn] = None
+                continue
+            lru[vpn] = None
             if evicted >= target:
                 break
-            entry = self._pt.get(vpn)
-            if pte_mod.is_dirty(entry):
+            if entry & _DIRTY:
                 self._clean(vpn, entry)
-                entry = self._pt.get(vpn)
-                if pte_mod.is_dirty(entry):
+                entry = pt.get(vpn)
+                if entry & _DIRTY:
                     continue  # write-back failed (node down); not evictable
             self._evict(vpn, entry)
             evicted += 1
@@ -287,30 +321,6 @@ class PageManager:
                                   self._clock.now - start,
                                   {"evicted": evicted})
         return evicted
-
-    def _rotate(self, budget: int, second_chance: bool):
-        """Advance the clock hand; yields candidate VPNs.
-
-        Pages whose accessed bit is set get the bit cleared and go to the
-        back of the list instead of being yielded (when ``second_chance``).
-        Stale entries (already unmapped) are dropped silently.
-        """
-        for _ in range(min(budget, len(self._lru))):
-            if not self._lru:
-                return
-            vpn, _ = self._lru.popitem(last=False)
-            entry = self._pt.get(vpn)
-            if not pte_mod.is_present(entry):
-                self._clean_vectors.pop(vpn, None)
-                continue
-            if second_chance and pte_mod.is_accessed(entry):
-                self._pt.set(vpn, pte_mod.clear_accessed(entry))
-                self._tlb.invalidate(vpn)
-                self._lru[vpn] = None
-                continue
-            self._lru[vpn] = None  # keep position until caller evicts
-            self._lru.move_to_end(vpn)
-            yield vpn
 
     # -- clean & evict ----------------------------------------------------------
 
@@ -345,24 +355,26 @@ class PageManager:
         self._clean_vectors[vpn] = vector
         self._pt.set(vpn, pte_mod.clear_dirty(entry))
         self._tlb.invalidate(vpn)
-        self._registry.add("reclaim.pages_cleaned")
+        self._pages_cleaned.add()
 
     def _evict(self, vpn: int, entry: int) -> None:
         """Unmap a clean page and free its frame."""
-        assert not pte_mod.is_dirty(entry), "evicting a dirty page"
-        frame = pte_mod.frame_of(entry)
-        vector = self._refresh_vector(vpn)
-        if self._config.guided_paging and vector is not None:
+        assert not entry & _DIRTY, "evicting a dirty page"
+        pt = self._pt
+        vector: Optional[List[Range]] = None
+        if self._config.guided_paging and self._allocator_guide is not None:
+            vector = self._refresh_vector(vpn)
+        if vector is not None:
             self._clean_vectors[vpn] = vector
-            self._pt.set(vpn, pte_mod.make_action(vpn))
+            pt.set(vpn, pte_mod.make_action(vpn))
         else:
-            self._pt.set(vpn, pte_mod.make_remote(self._as.remote_pfn_for(vpn)))
+            pt.set(vpn, pte_mod.make_remote(self._as.remote_pfn_for(vpn)))
         self._tlb.invalidate(vpn)
-        self._frames.free(frame)
+        self._frames.free(pte_mod.frame_of(entry))
         self._lru.pop(vpn, None)
         # This unmap left no stale LRU entry (popped just above).
-        self._unmaps_seen = self._pt.unmap_epoch
-        self._registry.add("reclaim.pages_evicted")
+        self._unmaps_seen = pt.unmap_epoch
+        self._pages_evicted.add()
 
     def _refresh_vector(self, vpn: int) -> Optional[List[Range]]:
         """Re-ask the guide for live ranges at eviction time (§4.4).
@@ -372,11 +384,10 @@ class PageManager:
         shrunken set is always covered by what the last write-back put on
         the memory node (any *new* allocation is written by the
         application, which dirties the page and forces a re-clean before
-        the next eviction). Returns None when guided paging is off, the
-        guide does not manage this page, or the full page must transfer.
+        the next eviction). Returns None when the guide does not manage
+        this page or the full page must transfer. Only called with guided
+        paging on and a guide installed.
         """
-        if not self._config.guided_paging or self._allocator_guide is None:
-            return None
         ranges = self._allocator_guide.live_ranges(vpn)
         if ranges is None:
             # Not an allocator page: guided only if the last clean recorded
@@ -392,16 +403,28 @@ class PageManager:
         start_free = self._frames.free_frames
         cleaned_inline = 0
         scanned = 0
-        for vpn in self._rotate(len(self._lru), second_chance=False):
+        pt = self._pt
+        lru = self._lru
+        # The clock-hand scan without second chance: stale entries are
+        # dropped, every present page is a candidate (rotated to the back
+        # before the reclaimed-enough check).
+        for _ in range(len(lru)):
+            if not lru:
+                break
+            vpn, _ = lru.popitem(last=False)
+            entry = pt.get(vpn)
+            if not entry & _PRESENT:
+                self._clean_vectors.pop(vpn, None)
+                continue
+            lru[vpn] = None
             scanned += 1
             if self._frames.free_frames - start_free >= want:
                 break
-            entry = self._pt.get(vpn)
-            if pte_mod.is_dirty(entry):
+            if entry & _DIRTY:
                 self._clean(vpn, entry)
                 cleaned_inline += 1
-                entry = self._pt.get(vpn)
-                if pte_mod.is_dirty(entry):
+                entry = pt.get(vpn)
+                if entry & _DIRTY:
                     continue  # write-back failed (node down); not evictable
             self._evict(vpn, entry)
         reclaimed = self._frames.free_frames - start_free

@@ -12,6 +12,7 @@ the lifetime of the mapping so REMOTE PTEs can simply carry the remote pfn.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -49,7 +50,11 @@ class AddressSpace:
     def __init__(self, memory_node: Optional[MemoryNode]) -> None:
         self.page_table = PageTable()
         self._memory_node = memory_node
+        #: Mapped regions in increasing base order (mmap only appends
+        #: above every earlier region), with their bases kept alongside
+        #: so region_for can bisect.
         self._regions: List[Region] = []
+        self._bases: List[int] = []
         self._next_base = self._MMAP_BASE
         self._remote_slot: Dict[int, int] = {}
 
@@ -67,6 +72,7 @@ class AddressSpace:
         # Leave an unmapped guard page between regions.
         self._next_base = region.end + PAGE_SIZE
         self._regions.append(region)
+        self._bases.append(region.base)
         return region
 
     def munmap(self, region: Region) -> None:
@@ -75,12 +81,16 @@ class AddressSpace:
         The caller (kernel) is responsible for having released its frames,
         PTEs and remote slots first.
         """
-        self._regions.remove(region)
+        index = self._regions.index(region)
+        del self._regions[index]
+        del self._bases[index]
 
     def region_for(self, va: int) -> Region:
         """The region containing ``va``; raises on unmapped addresses."""
-        for region in self._regions:
-            if region.contains(va):
+        index = bisect_right(self._bases, va) - 1
+        if index >= 0:
+            region = self._regions[index]
+            if va < region.base + region.size:
                 return region
         raise InvalidAddressError(f"address {va:#x} is not mapped")
 
@@ -102,7 +112,10 @@ class AddressSpace:
 
     def remote_offset_for(self, vpn: int) -> int:
         """Byte offset of ``vpn``'s backing within the remote region."""
-        return self._memory_node.slot_offset(self.remote_pfn_for(vpn))
+        slot = self._remote_slot.get(vpn)
+        if slot is None:
+            slot = self.remote_pfn_for(vpn)
+        return self._memory_node.slot_offset(slot)
 
     def has_remote_backing(self, vpn: int) -> bool:
         return vpn in self._remote_slot

@@ -82,19 +82,37 @@ class PageTable:
 
     def get(self, vpn: int) -> int:
         """The PTE for ``vpn`` (0 = invalid/unmapped)."""
+        # The leaf-cache hit is served inline: nearly every lookup of a
+        # paging workload lands in the leaf of the previous one.
+        if vpn >> _LEVEL_BITS == self._leaf_cache_key:
+            return self._leaf_cache.get(vpn & _LEVEL_MASK, 0)
         return self._leaf_for(vpn, create=False).get(vpn & _LEVEL_MASK, 0)
 
     def set(self, vpn: int, pte: int) -> None:
-        """Install ``pte`` for ``vpn`` (0 clears the entry)."""
-        leaf = self._leaf_for(vpn, create=True)
+        """Install ``pte`` for ``vpn`` (0 clears the entry).
+
+        Maintains :attr:`dirty_vpns` and :attr:`unmap_epoch` on a change.
+        """
+        if vpn >> _LEVEL_BITS == self._leaf_cache_key:
+            leaf = self._leaf_cache
+        else:
+            leaf = self._leaf_for(vpn, create=True)
         index = vpn & _LEVEL_MASK
         old = leaf.get(index, 0)
-        if pte == 0:
-            leaf.pop(index, None)
-        else:
+        if old == pte:
+            return
+        if pte:
             leaf[index] = pte
-        if old != pte:
-            self._account(vpn, old, pte)
+        else:
+            del leaf[index]
+        old_pd = old & _PRESENT_DIRTY == _PRESENT_DIRTY
+        if old_pd != (pte & _PRESENT_DIRTY == _PRESENT_DIRTY):
+            if old_pd:
+                self.dirty_vpns.discard(vpn)
+            else:
+                self.dirty_vpns.add(vpn)
+        if old & _PTE_PRESENT and not pte & _PTE_PRESENT:
+            self.unmap_epoch += 1
 
     def update(self, vpn: int, old: int, new: int) -> bool:
         """Compare-and-set; models the atomic PTE transitions of §4.2.
@@ -102,28 +120,10 @@ class PageTable:
         Returns False (and changes nothing) if the current PTE is not
         ``old`` — e.g. another core already flipped REMOTE to FETCHING.
         """
-        leaf = self._leaf_for(vpn, create=True)
-        index = vpn & _LEVEL_MASK
-        if leaf.get(index, 0) != old:
+        if self._leaf_for(vpn, create=True).get(vpn & _LEVEL_MASK, 0) != old:
             return False
-        if new == 0:
-            leaf.pop(index, None)
-        else:
-            leaf[index] = new
-        if old != new:
-            self._account(vpn, old, new)
+        self.set(vpn, new)
         return True
-
-    def _account(self, vpn: int, old: int, new: int) -> None:
-        """Maintain :attr:`dirty_vpns` / :attr:`unmap_epoch` on a change."""
-        old_pd = old & _PRESENT_DIRTY == _PRESENT_DIRTY
-        if old_pd != (new & _PRESENT_DIRTY == _PRESENT_DIRTY):
-            if old_pd:
-                self.dirty_vpns.discard(vpn)
-            else:
-                self.dirty_vpns.add(vpn)
-        if old & _PTE_PRESENT and not new & _PTE_PRESENT:
-            self.unmap_epoch += 1
 
     def entries(self) -> Iterator[Tuple[int, int]]:
         """Iterate all ``(vpn, pte)`` pairs with non-zero PTEs."""

@@ -40,6 +40,12 @@ FaultHandler = Callable[[int, bool], None]
 _MAX_FAULT_RETRIES = 4
 _PAGE_MASK = PAGE_SIZE - 1
 
+_PRESENT = pte_mod.PTE_PRESENT
+_WRITE = pte_mod.PTE_WRITE
+_ACCESSED = pte_mod.PTE_ACCESSED
+_DIRTY = pte_mod.PTE_DIRTY
+_ACCESSED_DIRTY = _ACCESSED | _DIRTY
+
 
 class VirtualMemory:
     """Byte-granular load/store engine over the paged address space."""
@@ -86,18 +92,18 @@ class VirtualMemory:
 
         for _attempt in range(_MAX_FAULT_RETRIES):
             pte = self._pt.get(vpn)
-            if pte_mod.is_present(pte):
-                if is_write and not pte & pte_mod.PTE_WRITE:
+            if pte & _PRESENT:
+                if is_write and not pte & _WRITE:
                     raise ProtectionError(
                         f"write to read-only page {vpn:#x}")
                 frame = pte_mod.frame_of(pte)
-                new = pte_mod.set_accessed(pte)
-                if is_write:
-                    new = pte_mod.set_dirty(new)
+                # The hardware walk sets the accessed bit (and, for a
+                # store, the dirty bit).
+                new = (pte | _ACCESSED_DIRTY) if is_write else (pte | _ACCESSED)
                 if new != pte:
                     self._pt.set(vpn, new)
-                self.tlb.fill(vpn, frame, writable=bool(new & pte_mod.PTE_WRITE),
-                              dirty_set=pte_mod.is_dirty(new))
+                self.tlb.fill(vpn, frame, writable=bool(new & _WRITE),
+                              dirty_set=bool(new & _DIRTY))
                 return frame
             self._fault_handler(vpn << PAGE_SHIFT, is_write)
 

@@ -164,8 +164,9 @@ class ServeFrontend:
         self._tpot = registry.log_histogram("serve.tpot_us")
         self._offered_rps = registry.gauge("serve.offered_rps")
         self._goodput_rps = registry.gauge("serve.goodput_rps")
-        for tenant in self._tenants:
-            registry.counter(f"tenant.{tenant.name}.served")
+        #: ``tenant.<name>.served`` counters, indexed like ``_tenants``.
+        self._served = [registry.counter(f"tenant.{tenant.name}.served")
+                        for tenant in self._tenants]
 
     def _reset_instruments(self) -> None:
         """Zero every instrument this frontend owns.
@@ -178,13 +179,10 @@ class ServeFrontend:
         for inst in (self._offered, self._admitted, self._shed,
                      self._completed, self._errors, self._violations,
                      self._goodput, self._latency, self._depth_hist,
-                     self._ttft, self._tpot):
+                     self._ttft, self._tpot, *self._served):
             inst.reset()
         self._offered_rps.set(0.0)
         self._goodput_rps.set(0.0)
-        registry = self.cluster.registry
-        for tenant in self._tenants:
-            registry.counter(f"tenant.{tenant.name}.served").reset()
 
     def run(self) -> ServeReport:
         """Play the whole arrival stream; returns the run's report."""
@@ -196,7 +194,7 @@ class ServeFrontend:
             spec.balance, [t.name for t in self._tenants])
         rng = random.Random(spec.seed + 1)
         clock = self.cluster.clock
-        registry = self.cluster.registry
+        served_counters = self._served
         n = len(self._tenants)
         ready = [0.0] * n
         queues: List[Deque[float]] = [deque() for _ in range(n)]
@@ -230,7 +228,7 @@ class ServeFrontend:
             ready[index] = completion
             queues[index].append(completion)
             served[index] += 1
-            registry.add(f"tenant.{tenant.name}.served")
+            served_counters[index].add()
             latency = completion - arrival.t_us
             self._completed.add()
             self._latency.record(latency)

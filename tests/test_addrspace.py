@@ -45,6 +45,29 @@ class TestRegions:
         with pytest.raises(InvalidAddressError):
             space.region_for(region.base)
 
+    def test_region_lookup_by_bisection(self, space):
+        regions = [space.mmap((i + 1) * PAGE_SIZE, name=f"r{i}")
+                   for i in range(5)]
+        for region in regions:
+            assert space.region_for(region.base) is region
+            assert space.region_for(region.end - 1) is region
+            with pytest.raises(InvalidAddressError):
+                space.region_for(region.end)  # guard page
+        with pytest.raises(InvalidAddressError):
+            space.region_for(regions[0].base - 1)
+        middle = regions[2]
+        space.munmap(middle)
+        for addr in (middle.base, middle.end - 1):
+            with pytest.raises(InvalidAddressError):
+                space.region_for(addr)
+        for region in regions[:2] + regions[3:]:
+            assert space.region_for(region.base) is region
+            assert space.region_for(region.end - 1) is region
+        late = space.mmap(PAGE_SIZE, name="late")
+        assert late.base > regions[-1].end
+        assert space.region_for(late.base) is late
+        assert space.region_for(regions[-1].base) is regions[-1]
+
     def test_ddc_requires_node(self):
         space = AddressSpace(None)
         with pytest.raises(ValueError):

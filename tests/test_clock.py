@@ -1,5 +1,7 @@
 """Unit tests for the simulated clock."""
 
+import math
+
 import pytest
 
 from repro.common.clock import Clock
@@ -69,3 +71,36 @@ def test_same_deadline_fifo():
     clock.call_at(2.0, lambda: fired.append("second"))
     clock.advance_to(2.0)
     assert fired == ["first", "second"]
+
+
+def test_advance_fires_timer_due_exactly_at_deadline():
+    """``advance`` goes through ``advance_to`` only when a timer is due by
+    ``now + delta``; the boundary is inclusive, as in ``advance_to``."""
+    start, delta = 0.1, 0.2
+    deadline = start + delta  # 0.30000000000000004, not 0.3
+    clock = Clock(start=start)
+    fired = []
+    clock.call_at(deadline, lambda: fired.append("at"))
+    clock.call_at(math.nextafter(deadline, math.inf),
+                  lambda: fired.append("after"))
+    clock.advance(delta)
+    assert fired == ["at"]
+    reference = Clock(start=start)
+    reference.advance_to(start + delta)
+    assert clock.now.hex() == reference.now.hex()
+
+
+def test_advance_without_due_timer_matches_advance_to():
+    """With a timer pending but not due (the reclaimer's periodic tick
+    on a booted kernel), ``advance`` must leave the clock bit-identical
+    to ``advance_to(now + delta)``."""
+    deltas = [0.1, 0.2, 1e-9, 3.0000000000000004, 0.7, 0.0, 12.5]
+    clock = Clock(start=0.3)
+    reference = Clock(start=0.3)
+    fired = []
+    clock.call_at(1e6, lambda: fired.append(1))
+    for delta in deltas:
+        clock.advance(delta)
+        reference.advance_to(reference.now + delta)
+        assert clock.now.hex() == reference.now.hex()
+    assert fired == []

@@ -18,6 +18,7 @@ from repro.apps.kvstore import (
     KvStoreService,
     build_kv_service,
 )
+from repro.common.rng import zipf_weights
 from repro.common.units import MIB, PAGE_SIZE
 from repro.harness import make_system
 
@@ -294,6 +295,18 @@ class TestSamplerAndFactory:
                                    write_fraction=0.3)
         draws = [service.sample_request(random.Random(5)) for _ in range(2)]
         assert draws[0] == draws[1]
+
+    def test_sampler_draws_equal_per_draw_weights(self):
+        """Precomputed cumulative weights draw exactly the keys that
+        ``rng.choices(weights=...)`` draws."""
+        system = boot()
+        service = build_kv_service(system, n_keys=64, skew=0.9,
+                                   write_fraction=0.0)
+        weights = zipf_weights(64, 0.9)
+        rng, reference = random.Random(11), random.Random(11)
+        for _ in range(10_000):
+            index = reference.choices(range(64), weights=weights, k=1)[0]
+            assert service.sample_request(rng).key == b"kv:%d" % index
 
     def test_sampler_respects_write_fraction_zero(self):
         system = boot()

@@ -19,6 +19,7 @@ import pytest
 from repro.common.clock import Clock
 from repro.common.units import KIB, MIB, PAGE_SIZE
 from repro.core import DilosConfig, DilosSystem
+from repro.mem import pte
 from repro.mem.remote import MemoryNode, NodeFailedError
 from repro.net.faults import FaultPlan, RetryPolicy, TransportError, checksum
 from repro.net.latency import LatencyModel
@@ -298,6 +299,31 @@ class TestInFlightNodeFailure:
         node.fail()
         with pytest.raises(NodeFailedError):
             rqp.wait(completion)
+
+    def test_dilos_prefetch_lost_to_node_crash_is_noted_as_a_miss(self):
+        """A prefetch whose READ dies with its memory node is never
+        installed, but its completion still notes the page with the hit
+        tracker exactly once, and the note later matures as a miss."""
+        system = DilosSystem(DilosConfig(local_mem_bytes=1 * MIB,
+                                         remote_mem_bytes=16 * MIB))
+        region = system.mmap(4 * MIB, name="race")
+        pages = region.size // PAGE_SIZE
+        for i in range(pages):  # fault everything in, evicting most of it
+            system.memory.write(region.base + i * PAGE_SIZE,
+                                bytes([i % 251]) * 32)
+        system.clock.advance(5000)  # cleaner drains write-backs
+        kernel = system.kernel
+        tracker = kernel.hit_tracker
+        before = (tracker.scanned, tracker.hits, tracker.misses)
+        vpn = region.base // PAGE_SIZE  # page 0, evicted long ago
+        assert kernel.prefetch_vpn(vpn)
+        system.node.fail()  # the READ is still on the wire
+        system.clock.advance(tracker.GRACE_US + 100.0)
+        entry = system.addr_space.page_table.get(vpn)
+        assert pte.classify(entry) is pte.Tag.FETCHING  # never installed
+        tracker.scan()
+        assert (tracker.scanned, tracker.hits, tracker.misses) == (
+            before[0] + 1, before[1], before[2] + 1)
 
     def test_dilos_fetch_lost_to_node_crash_rolls_back(self):
         """A crash while the demand fetch is on the wire surfaces as

@@ -18,6 +18,7 @@ from repro.apps.api import (
 )
 from repro.apps.redis import GetWorkload, RedisServer
 from repro.apps.redis.service import RedisService
+from repro.common.rng import zipf_weights
 from repro.common.units import MIB
 from repro.harness import local_bytes_for, make_system
 
@@ -57,6 +58,17 @@ class TestConformance:
         request = service.sample_request(rng)
         response = service.handle(request)
         assert response.ok
+
+    def test_redis_sampler_draws_equal_per_draw_weights(self):
+        """Precomputed cumulative weights draw exactly the keys that
+        ``rng.choices(weights=...)`` draws."""
+        # Sampling never touches the server.
+        service = RedisService(None, n_keys=300, skew=0.99)
+        weights = zipf_weights(300, 0.99)
+        rng, reference = random.Random(7), random.Random(7)
+        for _ in range(10_000):
+            index = reference.choices(range(300), weights=weights, k=1)[0]
+            assert service.sample_request(rng).key == b"key:%d" % index
 
     def test_taxi_service_conforms(self):
         service = SERVICES.build("taxi", _redis_system(4 * MIB),
